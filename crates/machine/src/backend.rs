@@ -22,6 +22,15 @@
 //!   therefore every numerical result and traffic counter — is bitwise
 //!   identical to the simulator regardless of OS scheduling.
 //!
+//! Both backends wait for a message the same way, outside this trait: a
+//! receive first polls its inbox for a fixed 200 µs window, yielding the
+//! core between tries, and only then parks in timed blocking receives.
+//! Polling spares a latency-bound exchange the OS park/unpark round trip
+//! on every message; bounding the window keeps a receive that truly
+//! waits from burning its core. The window charges no virtual time, and
+//! the deadlock watchdog and failed-peer abort run in the parked phase
+//! unchanged.
+//!
 //! Backend selection is **data**, never a type at a call site:
 //! construct machines with [`crate::Machine::build`] (or set
 //! [`crate::MachineConfig::backend`]), and pick the kind from

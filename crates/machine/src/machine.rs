@@ -378,6 +378,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "recv from rank 2 on 2-proc machine")]
+    fn recv_from_out_of_range_rank_fails_at_the_call() {
+        // The full default watchdog: without the range check this would
+        // sit out 60 s and then report a deadlock instead.
+        let cfg = unit_cfg(2).with_watchdog(Duration::from_secs(60));
+        let _ = Machine::run(cfg, |proc| {
+            let _: f64 = proc.recv(2, tag(NS_USER, 98));
+        });
+    }
+
+    #[test]
     #[should_panic(expected = "suspected deadlock")]
     fn watchdog_fires_on_missing_message() {
         let cfg = unit_cfg(1).with_watchdog(Duration::from_millis(200));
@@ -721,6 +732,58 @@ mod tests {
         assert!(thr.report.wall_seconds > 0.0);
         // The simulator still charges its timeline.
         assert!(sim.report.elapsed > 0.0);
+    }
+
+    #[test]
+    fn polled_arrivals_pair_in_posting_order_like_the_simulator() {
+        // Every rank sends K messages to every rank under two interleaved
+        // tags, then receives them in an order unrelated to arrival:
+        // tag B is posted split-phase first, tag A is drained blocking
+        // from the highest source down, and the B handles are waited in
+        // reverse. Everything lands inside the poll window on threads,
+        // so pairing rests on the polled path parking unmatched
+        // envelopes exactly as the parked path does.
+        const K: usize = 6;
+        let f = |proc: &mut Proc| {
+            let (ta, tb) = (tag(NS_USER, 50), tag(NS_USER, 51));
+            let (me, p) = (proc.rank(), proc.nprocs());
+            let mut got = Vec::new();
+            for round in 0..20 {
+                for k in 0..K {
+                    for dst in 0..p {
+                        let v = (round * 100_000 + me * 1000 + k) as f64;
+                        proc.send(dst, ta, v);
+                        proc.send(dst, tb, v + 0.5);
+                    }
+                }
+                let posted: Vec<Vec<_>> = (0..p)
+                    .map(|src| (0..K).map(|_| proc.irecv::<f64>(src, tb)).collect())
+                    .collect();
+                for src in (0..p).rev() {
+                    for k in 0..K {
+                        let v: f64 = proc.recv(src, ta);
+                        assert_eq!(v, (round * 100_000 + src * 1000 + k) as f64);
+                        got.push(v);
+                    }
+                }
+                for (src, hs) in posted.into_iter().enumerate() {
+                    for (k, h) in hs.into_iter().enumerate().rev() {
+                        let v = proc.wait(h);
+                        assert_eq!(v, (round * 100_000 + src * 1000 + k) as f64 + 0.5);
+                        got.push(v);
+                    }
+                }
+            }
+            got
+        };
+        // p = 8 oversubscribes any host with fewer than eight cores.
+        for p in [2, 8] {
+            let sim = Machine::run(unit_cfg(p), f);
+            let thr = Machine::run(unit_cfg(p).with_backend(BackendKind::Threads), f);
+            assert_eq!(thr.results, sim.results, "p={p}");
+            assert_eq!(thr.report.total_msgs, sim.report.total_msgs);
+            assert_eq!(thr.report.total_words, sim.report.total_words);
+        }
     }
 
     #[test]

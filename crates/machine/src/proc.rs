@@ -5,14 +5,24 @@ use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::backend::{backend_for, Backend};
 use crate::machine::MachineConfig;
 use crate::wire::Wire;
 use crate::Tag;
+
+/// How long a receive polls its inbox (yielding the core between tries)
+/// before it parks in a blocking, timed receive. A message that lands
+/// inside the window is taken without a park/unpark round trip through
+/// the OS scheduler, which is what a latency-bound exchange pays on
+/// every superstep. The window is a fixed constant so a receive that
+/// truly waits (a slow peer, a deadlock) stops burning its core almost
+/// at once; yielding rather than spinning lets an oversubscribed machine
+/// (more processors than cores) run the sender in the meantime.
+const POLL_WINDOW: Duration = Duration::from_micros(200);
 
 /// A message in flight between two simulated processors.
 pub(crate) struct Envelope {
@@ -439,10 +449,16 @@ impl Proc {
     /// clock is raised to the message's arrival time (waiting counts as idle)
     /// and charged the receive overhead.
     ///
-    /// Panics with a diagnostic if the expected message does not arrive
-    /// within the real-time watchdog budget (suspected deadlock) or if the
-    /// payload type does not match `T`.
+    /// Panics at the call if `src` is not a rank of this machine, and with
+    /// a diagnostic if the expected message does not arrive within the
+    /// real-time watchdog budget (suspected deadlock) or if the payload
+    /// type does not match `T`.
     pub fn recv<T: Wire>(&mut self, src: usize, tag: Tag) -> T {
+        assert!(
+            src < self.nprocs,
+            "recv from rank {src} on {}-proc machine",
+            self.nprocs
+        );
         let ticket = self.issue_ticket(src, tag);
         let env = self.consume_ticket(src, tag, ticket);
         if env.arrival > self.clock {
@@ -507,6 +523,11 @@ impl Proc {
         }
     }
 
+    /// Take the next envelope for `(src, tag)`: from `pending` if it
+    /// already arrived, else by polling the inbox for [`POLL_WINDOW`],
+    /// else by parking in timed receives. Unmatched arrivals are parked
+    /// in `pending` in arrival order on both paths. The watchdog budget
+    /// and the failed-peer check run only in the parked phase.
     fn recv_envelope(&mut self, src: usize, tag: Tag) -> Envelope {
         if let Some(pos) = self
             .pending
@@ -514,6 +535,19 @@ impl Proc {
             .position(|e| e.src == src && e.tag == tag)
         {
             return self.pending.remove(pos).unwrap();
+        }
+        let polling = Instant::now();
+        loop {
+            match self.inbox.try_recv() {
+                Ok(e) if e.src == src && e.tag == tag => return e,
+                Ok(e) => self.pending.push_back(e),
+                Err(TryRecvError::Empty) if polling.elapsed() < POLL_WINDOW => {
+                    std::thread::yield_now()
+                }
+                // Window spent, or disconnected: the parked loop below
+                // owns the timeout, abort and teardown diagnostics.
+                Err(_) => break,
+            }
         }
         let mut waited = Duration::ZERO;
         let slice = Duration::from_millis(200).min(self.cfg.watchdog);

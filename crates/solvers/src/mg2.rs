@@ -173,7 +173,7 @@ mod tests {
         for p in [1usize, 2, 4] {
             let (got, want) = run_mg2(16, 16, p, 3, Pde::poisson(), 5);
             for (a, b) in got.iter().zip(&want) {
-                assert!((a - b).abs() < 1e-11, "p={p}: {a} vs {b}");
+                assert_eq!(a.to_bits(), b.to_bits(), "p={p}: {a} vs {b}");
             }
         }
     }
@@ -182,7 +182,7 @@ mod tests {
     fn odd_team_sizes_work() {
         let (got, want) = run_mg2(8, 16, 3, 2, Pde::poisson(), 7);
         for (a, b) in got.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-11);
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
     }
 
@@ -267,7 +267,7 @@ mod tests {
     fn anisotropic_robustness_carries_over() {
         let (got, want) = run_mg2(16, 16, 4, 4, Pde::anisotropic(50.0, 1.0, 0.0), 13);
         for (a, b) in got.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-9);
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
     }
 }

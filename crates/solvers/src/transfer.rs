@@ -10,6 +10,13 @@
 //! destination distribution with one personalized all-to-all. This is the
 //! communication a KF1 compiler would synthesize for the assignments in
 //! Listing 10, generalized to any block alignment.
+//!
+//! The 2-D transfers touch memory a whole x-line at a time: x is
+//! undistributed, so each line is read with [`DistArray2::col_into`] and
+//! written with [`DistArray2::col_set`] after one ownership check, not
+//! through per-point `at`/`put` index decoding. The arithmetic per point
+//! is the same expression in the same order as the sequential reference
+//! (`seq::rest2_seq`, `seq::intrp2_seq`), so results match it bitwise.
 
 use std::collections::HashMap;
 
@@ -84,13 +91,17 @@ pub fn resid2<T: Real>(
     r
 }
 
-/// Full-weight fine line `j` of `r` into a freshly allocated line.
-fn weigh_line(ctx: &mut Ctx, r: &DistArray2<f64>, j: usize) -> Vec<f64> {
-    let [nxp, _] = r.extents();
-    let nx = nxp - 1;
-    let mut line = vec![0.0; nxp];
-    for (i, slot) in line.iter_mut().enumerate().take(nx).skip(1) {
-        *slot = 0.25 * r.at(i, j - 1) + 0.5 * r.at(i, j) + 0.25 * r.at(i, j + 1);
+/// Full-weight fine line `j` of `r` into a freshly allocated line, reading
+/// the three x-lines `j−1..=j+1` whole; `nb` is scratch for two of them.
+fn weigh_line(ctx: &mut Ctx, r: &DistArray2<f64>, j: usize, nb: &mut [f64]) -> Vec<f64> {
+    let nx = r.extents()[0] - 1;
+    let mut line = vec![0.0; nx + 1];
+    let (mid, up) = nb.split_at_mut(nx - 1);
+    r.col_into(j - 1, 1..nx, &mut line[1..nx]);
+    r.col_into(j, 1..nx, mid);
+    r.col_into(j + 1, 1..nx, up);
+    for (l, (&m, &u)) in line[1..nx].iter_mut().zip(mid.iter().zip(up.iter())) {
+        *l = 0.25 * *l + 0.5 * m + 0.25 * u;
     }
     ctx.proc().compute(5.0 * (nx - 1) as f64);
     line
@@ -114,21 +125,22 @@ pub fn rest2(ctx: &mut Ctx, r: &mut DistArray2<f64>) -> DistArray2<f64> {
     // Full-weight the fine-even lines we own, keyed by coarse index.
     // Only the fine-even lines j = 2·jc, jc in 1..nyc, restrict.
     let mut items = Vec::new();
+    let mut nb = vec![0.0; 2 * nxp.saturating_sub(2)];
     ctx.plan().reads(r, Ghosts::full(1)).run_lines(
         1,
         2..(2 * nyc).saturating_sub(1),
         |ctx, r, j| {
             if j.is_multiple_of(2) {
-                items.push((cdist.owner(j / 2), (j / 2) as u64, weigh_line(ctx, r, j)));
+                let line = weigh_line(ctx, r, j, &mut nb);
+                items.push((cdist.owner(j / 2), (j / 2) as u64, line));
             }
         },
     );
+    // x is undistributed, so a coarse line is owned whole or not at all.
     for (jc, line) in route(ctx.proc(), &team, items) {
         let jc = jc as usize;
-        for (i, v) in line.iter().enumerate() {
-            if g.owns([i, jc]) {
-                g.put(i, jc, *v);
-            }
+        if g.owns([0, jc]) {
+            g.col_set(jc, 0..nxp, &line);
         }
         ctx.proc().memop(line.len() as f64);
     }
@@ -153,9 +165,7 @@ pub fn intrp2(ctx: &mut Ctx, u: &mut DistArray2<f64>, v: &DistArray2<f64>) {
     if v.is_participant() {
         for jc in v.owned_range(1).clone() {
             let mut line = vec![0.0; nxp];
-            for (i, slot) in line.iter_mut().enumerate() {
-                *slot = v.at(i, jc);
-            }
+            v.col_into(jc, 0..nxp, &mut line);
             let lo = (2 * jc).saturating_sub(1);
             let hi = (2 * jc + 1).min(ny);
             let mut dests: Vec<usize> = (lo..=hi).map(|j| fine_dist.owner(j)).collect();
@@ -175,18 +185,20 @@ pub fn intrp2(ctx: &mut Ctx, u: &mut DistArray2<f64>, v: &DistArray2<f64>) {
     let j0 = u.owned_range(1).start.max(1);
     let j1 = u.owned_range(1).end.min(ny);
     let zero = vec![0.0; nxp];
+    let mut col = vec![0.0; nx.saturating_sub(1)];
     for j in j0..j1 {
         let (la, lb, w) = if j.is_multiple_of(2) {
             (j / 2, j / 2, 1.0)
         } else {
             ((j - 1) / 2, j.div_ceil(2), 0.5)
         };
-        let va = coarse.get(&la).unwrap_or(&zero);
-        let vb = coarse.get(&lb).unwrap_or(&zero);
-        for i in 1..nx {
-            let corr = if la == lb { va[i] } else { w * (va[i] + vb[i]) };
-            u.put(i, j, u.at(i, j) + corr);
+        let va = &coarse.get(&la).unwrap_or(&zero)[1..nx];
+        let vb = &coarse.get(&lb).unwrap_or(&zero)[1..nx];
+        u.col_into(j, 1..nx, &mut col);
+        for (c, (&a, &b)) in col.iter_mut().zip(va.iter().zip(vb)) {
+            *c += if la == lb { a } else { w * (a + b) };
         }
+        u.col_set(j, 1..nx, &col);
         ctx.proc().compute(2.0 * (nx - 1) as f64);
     }
 }
@@ -430,86 +442,60 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rest2_matches_sequential_various_teams() {
-        let (nx, ny) = (8, 16);
-        let rs = seq::Grid2::random_interior(nx, ny, 7);
-        let want = seq::rest2_seq(&rs);
-        for p in [1usize, 2, 3, 4, 5] {
-            let rs2 = rs.clone();
-            let run = Machine::run(cfg(p), move |proc| {
-                let grid = ProcGrid::new_1d(proc.nprocs());
-                let spec = DistSpec::local_block();
-                let mut r = DistArray2::from_fn(
-                    proc.rank(),
-                    &grid,
-                    &spec,
-                    [nx + 1, ny + 1],
-                    [0, 1],
-                    |[i, j]| rs2.at(i, j),
+    /// Checks `rest2` (`rest = true`) or `intrp2` bitwise against its
+    /// sequential form on p = 1..=6 ranks. Coarse and fine block edges fall
+    /// on different ranks, so lines are routed: interpolated ones for every
+    /// p ≥ 2, restricted ones on 9×16 at p = 5 and on 16×32 at p = 3, 5, 6.
+    fn transfer_matches_sequential_bitwise(rest: bool) {
+        for (nx, ny) in [(9, 16), (16, 32)] {
+            let rs = seq::Grid2::random_interior(nx, ny, 7);
+            let vs = seq::Grid2::random_interior(nx, ny / 2, 9);
+            let base = seq::Grid2::random_interior(nx, ny, 10);
+            let want = if rest {
+                seq::rest2_seq(&rs)
+            } else {
+                let mut u = base.clone();
+                seq::intrp2_seq(&mut u, &vs);
+                u
+            };
+            for p in 1..=6 {
+                let (rs2, vs2, base2) = (rs.clone(), vs.clone(), base.clone());
+                let run = Machine::run(cfg(p), move |proc| {
+                    let grid = ProcGrid::new_1d(proc.nprocs());
+                    let (rank, spec) = (proc.rank(), DistSpec::local_block());
+                    let arr = |s: &seq::Grid2| {
+                        let ext = [s.nx + 1, s.ny + 1];
+                        DistArray2::from_fn(rank, &grid, &spec, ext, [0, 1], |[i, j]| s.at(i, j))
+                    };
+                    let mut ctx = Ctx::new(proc, grid.clone());
+                    let got = if rest {
+                        rest2(&mut ctx, &mut arr(&rs2))
+                    } else {
+                        let mut u = arr(&base2);
+                        intrp2(&mut ctx, &mut u, &arr(&vs2));
+                        u
+                    };
+                    got.gather_to_root(ctx.proc())
+                });
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let op = if rest { "rest2" } else { "intrp2" };
+                assert_eq!(
+                    bits(run.results[0].as_ref().unwrap()),
+                    bits(&want.v),
+                    "{op} {nx}x{ny} p={p}"
                 );
-                let mut ctx = Ctx::new(proc, grid);
-                let g = rest2(&mut ctx, &mut r);
-                g.gather_to_root(ctx.proc())
-            });
-            let got = run.results[0].as_ref().unwrap();
-            for i in 0..=nx {
-                for jc in 0..=ny / 2 {
-                    let have = got[i * (ny / 2 + 1) + jc];
-                    assert!(
-                        (want.at(i, jc) - have).abs() < 1e-12,
-                        "p={p} ({i},{jc}): {have} vs {}",
-                        want.at(i, jc)
-                    );
-                }
             }
         }
     }
 
     #[test]
+    fn rest2_matches_sequential_various_teams() {
+        transfer_matches_sequential_bitwise(true);
+    }
+
+    #[test]
     fn intrp2_matches_sequential_various_teams() {
-        let (nx, ny) = (8, 16);
-        let vs = seq::Grid2::random_interior(nx, ny / 2, 9);
-        let base = seq::Grid2::random_interior(nx, ny, 10);
-        let mut want = base.clone();
-        seq::intrp2_seq(&mut want, &vs);
-        for p in [1usize, 2, 4, 6] {
-            let (vs2, base2) = (vs.clone(), base.clone());
-            let run = Machine::run(cfg(p), move |proc| {
-                let grid = ProcGrid::new_1d(proc.nprocs());
-                let spec = DistSpec::local_block();
-                let mut u = DistArray2::from_fn(
-                    proc.rank(),
-                    &grid,
-                    &spec,
-                    [nx + 1, ny + 1],
-                    [0, 1],
-                    |[i, j]| base2.at(i, j),
-                );
-                let v = DistArray2::from_fn(
-                    proc.rank(),
-                    &grid,
-                    &spec,
-                    [nx + 1, ny / 2 + 1],
-                    [0, 1],
-                    |[i, j]| vs2.at(i, j),
-                );
-                let mut ctx = Ctx::new(proc, grid);
-                intrp2(&mut ctx, &mut u, &v);
-                u.gather_to_root(ctx.proc())
-            });
-            let got = run.results[0].as_ref().unwrap();
-            for i in 0..=nx {
-                for j in 0..=ny {
-                    let have = got[i * (ny + 1) + j];
-                    assert!(
-                        (want.at(i, j) - have).abs() < 1e-12,
-                        "p={p} ({i},{j}): {have} vs {}",
-                        want.at(i, j)
-                    );
-                }
-            }
-        }
+        transfer_matches_sequential_bitwise(false);
     }
 
     #[test]
